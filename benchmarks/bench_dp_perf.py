@@ -152,49 +152,6 @@ def run_bench(design_name: str, repeats: int):
     return record, tracer, profiler
 
 
-def run_worker_sweep(design_name: str, counts) -> dict:
-    """Legalize + detail-place at each worker count; assert bit-identity.
-
-    Worker counts feed :class:`LegalConfig` (row-parallel Tetris/Abacus);
-    detailed placement itself is move-sequential and stays single-process
-    at every count.  Parallel legalization is bit-identical by
-    construction, so any mismatch is a hard failure, not a data point.
-    """
-    counts = sorted(set(int(c) for c in counts) | {1})
-    sweep = []
-    base_state = None
-    base_wall = None
-    for w in counts:
-        design = make_suite_design(design_name)
-        initial_placement(design, seed=SEED)
-        placer = DetailedPlacer(DPConfig(workers=w))
-        t0 = time.perf_counter()
-        result = Legalizer(LegalConfig(workers=w)).legalize(design)
-        placer.run(design, result.submap)
-        wall = time.perf_counter() - t0
-        state = (
-            np.array([n.x for n in design.nodes]),
-            np.array([n.y for n in design.nodes]),
-        )
-        if w == 1:
-            base_state = state
-            base_wall = wall
-            identical = True
-        else:
-            identical = np.array_equal(base_state[0], state[0]) and np.array_equal(
-                base_state[1], state[1]
-            )
-        sweep.append(
-            {
-                "workers": w,
-                "wall_s": round(wall, 4),
-                "speedup": round(base_wall / wall, 3) if wall > 0 else 0.0,
-                "identical": bool(identical),
-            }
-        )
-    return {"sweep": sweep, "deterministic": True}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -212,30 +169,9 @@ def main(argv=None) -> int:
         "--trace-summary", metavar="PATH",
         help="write the traced optimized run's span/counter summary here",
     )
-    parser.add_argument(
-        "--workers-sweep", metavar="COUNTS",
-        help="comma-separated worker counts (e.g. 1,2,4): legalize+DP at "
-        "each, assert bit-identity vs workers=1, and add per-count "
-        "scaling to the record's 'parallel' section",
-    )
     args = parser.parse_args(argv)
 
     record, tracer, profiler = run_bench(args.design, max(1, args.repeats))
-    if args.workers_sweep:
-        counts = [c for c in args.workers_sweep.split(",") if c.strip()]
-        record["parallel"] = run_worker_sweep(args.design, counts)
-        record["identical_parallel_placements"] = all(
-            row["identical"] for row in record["parallel"]["sweep"]
-        )
-        record["host"]["workers"] = max(int(c) for c in counts)
-        if not record["identical_parallel_placements"]:
-            print("ERROR: parallel placements differ from workers=1", file=sys.stderr)
-            return 1
-        for row in record["parallel"]["sweep"]:
-            print(
-                f"  workers={row['workers']}: {row['wall_s']:.3f}s "
-                f"({row['speedup']:.2f}x)"
-            )
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

@@ -39,10 +39,10 @@ from repro.gp.placer import GlobalPlacer
 from repro.obs import SamplingProfiler, Tracer, format_trace_summary, use_tracer
 
 
-def _run_gp(design_name: str, reference: bool, tracer=None, workers: int = 1):
+def _run_gp(design_name: str, reference: bool, tracer=None):
     """Place one fresh copy of the design; returns (wall, state, report)."""
     design = make_suite_design(design_name)
-    placer = GlobalPlacer(GPConfig(reference=reference, workers=workers))
+    placer = GlobalPlacer(GPConfig(reference=reference))
     t0 = time.perf_counter()
     if tracer is not None:
         with use_tracer(tracer):
@@ -74,41 +74,6 @@ def _stage_breakdown(tracer: Tracer) -> dict:
         name = span.name.split("[")[0]
         stages[name] = stages.get(name, 0.0) + span.duration
     return {k: round(v, 4) for k, v in sorted(stages.items(), key=lambda kv: -kv[1])}
-
-
-def run_worker_sweep(design_name: str, counts) -> dict:
-    """Place at each worker count; assert bit-identity vs workers=1.
-
-    Returns the ``parallel`` section of the bench record: per-count wall
-    seconds and speedup over the single-worker run.  The deterministic
-    parallel mode guarantees bit-identical placements for any worker
-    count, so any mismatch is a hard failure, not a data point.
-    """
-    counts = sorted(set(int(c) for c in counts) | {1})
-    sweep = []
-    base_state = None
-    base_wall = None
-    for w in counts:
-        wall, state, _, _ = _run_gp(design_name, reference=False, workers=w)
-        if w == 1:
-            base_state = state
-            base_wall = wall
-            identical = True
-        else:
-            try:
-                _assert_identical(base_state, state)
-                identical = True
-            except AssertionError:
-                identical = False
-        sweep.append(
-            {
-                "workers": w,
-                "wall_s": round(wall, 4),
-                "speedup": round(base_wall / wall, 3) if wall > 0 else 0.0,
-                "identical": identical,
-            }
-        )
-    return {"sweep": sweep, "deterministic": True}
 
 
 def run_bench(design_name: str, repeats: int):
@@ -175,30 +140,9 @@ def main(argv=None) -> int:
         "--trace-summary", metavar="PATH",
         help="write the traced optimized run's span/counter summary here",
     )
-    parser.add_argument(
-        "--workers-sweep", metavar="COUNTS",
-        help="comma-separated worker counts (e.g. 1,2,4): place at each, "
-        "assert bit-identity vs workers=1, and add per-count scaling to "
-        "the record's 'parallel' section",
-    )
     args = parser.parse_args(argv)
 
     record, tracer, profiler = run_bench(args.design, max(1, args.repeats))
-    if args.workers_sweep:
-        counts = [c for c in args.workers_sweep.split(",") if c.strip()]
-        record["parallel"] = run_worker_sweep(args.design, counts)
-        record["identical_parallel_placements"] = all(
-            row["identical"] for row in record["parallel"]["sweep"]
-        )
-        record["host"]["workers"] = max(int(c) for c in counts)
-        if not record["identical_parallel_placements"]:
-            print("ERROR: parallel placements differ from workers=1", file=sys.stderr)
-            return 1
-        for row in record["parallel"]["sweep"]:
-            print(
-                f"  workers={row['workers']}: {row['wall_s']:.3f}s "
-                f"({row['speedup']:.2f}x)"
-            )
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

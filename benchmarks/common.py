@@ -97,26 +97,53 @@ def run_quadratic(name: str):
     return design, result
 
 
-def host_metadata(workers: int | None = None) -> dict:
+def _logical_cores() -> int:
+    """Logical CPUs available to this process (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def _physical_cores() -> int:
+    """Unique ``(physical id, core id)`` pairs in ``/proc/cpuinfo``.
+
+    SMT siblings collapse into one core; hosts without /proc (or whose
+    cpuinfo lacks the fields) report the logical count.
+    """
+    pairs = set()
+    phys = core = None
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("physical id"):
+                    phys = line.split(":", 1)[1].strip()
+                elif line.startswith("core id"):
+                    core = line.split(":", 1)[1].strip()
+                elif not line.strip():
+                    if phys is not None and core is not None:
+                        pairs.add((phys, core))
+                    phys = core = None
+    except OSError:
+        pass
+    if phys is not None and core is not None:
+        pairs.add((phys, core))
+    return len(pairs) or _logical_cores()
+
+
+def host_metadata() -> dict:
     """Host/core facts stamped into bench records.
 
-    Parallel speedups are meaningless without knowing what they ran on,
-    so every BENCH JSON carries the physical/logical core counts (SMT
-    siblings collapse into one physical core) and, when given, the
-    worker count the record's parallel fields used.
+    Timings are meaningless without knowing what they ran on, so every
+    BENCH JSON carries the physical/logical core counts.
     """
     import platform
 
-    from repro.parallel import logical_cores, physical_cores
-
-    meta = {
+    return {
         "hostname": platform.node(),
-        "physical_cores": physical_cores(),
-        "logical_cores": logical_cores(),
+        "physical_cores": _physical_cores(),
+        "logical_cores": _logical_cores(),
     }
-    if workers is not None:
-        meta["workers"] = workers
-    return meta
 
 
 def print_banner(title: str) -> None:

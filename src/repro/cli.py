@@ -243,19 +243,9 @@ def _apply_route_knobs(cfg: FlowConfig, args) -> None:
         cfg.route_max_maze_nets = args.max_maze_nets
     if args.cost_refresh is not None:
         cfg.route_cost_refresh = args.cost_refresh
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if getattr(args, "parallel_fast", False):
-        cfg.deterministic = False
 
 
 def _add_route_knobs(p) -> None:
-    p.add_argument(
-        "--workers", type=int, metavar="N",
-        help="worker processes for the parallel GP/legalization/routing "
-        "paths (default 1 = serial, honouring $REPRO_WORKERS; 0 = one "
-        "per CPU core)",
-    )
     p.add_argument(
         "--route-sweeps", type=int, metavar="N",
         help="number of vectorized L-routing sweeps",
@@ -333,12 +323,6 @@ def _add_dp_knobs(p) -> None:
         "per-object reference paths (bit-identical, slower; for "
         "equivalence debugging)",
     )
-    p.add_argument(
-        "--parallel-fast", action="store_true",
-        help="with --workers N: let GP workers pre-reduce their shard "
-        "(faster; reproducible per worker count instead of bit-identical "
-        "across counts)",
-    )
 
 
 def _cmd_route(args) -> int:
@@ -359,7 +343,6 @@ def _cmd_route(args) -> int:
                 maze_rounds=cfg.route_maze_rounds,
                 max_maze_nets=cfg.route_max_maze_nets,
                 cost_refresh=cfg.route_cost_refresh,
-                workers=cfg.workers,
             ).route(design)
     except Exception as exc:
         _report_flow_failure(tracer, exc)
@@ -454,7 +437,6 @@ def _cmd_serve(args) -> int:
 
     settings = ServeSettings(
         workers=args.workers,
-        default_job_workers=args.job_workers,
         stale_timeout=args.stale_timeout,
         cancel_grace=args.cancel_grace,
         default_max_retries=args.max_retries,
@@ -539,8 +521,6 @@ def _cmd_submit(args) -> int:
     if overrides is None or budgets is None:
         return 2
     options: dict = {}
-    if args.job_workers is not None:
-        options["workers"] = args.job_workers
     if args.no_route:
         options["route"] = False
     if args.no_dp:
@@ -891,11 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="queue-draining worker processes (default 2)",
     )
     sv.add_argument(
-        "--job-workers", type=int, default=1, metavar="N",
-        help="default per-job flow worker count; always pinned, so "
-        "REPRO_WORKERS never multiplies across concurrent jobs",
-    )
-    sv.add_argument(
         "--stale-timeout", type=float, default=15.0, metavar="SEC",
         help="requeue a running job after SEC without a heartbeat",
     )
@@ -942,11 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--seed", type=int, default=1, help="inline spec seed")
     sm.add_argument("--priority", type=int, default=0,
                     help="higher claims first")
-    sm.add_argument(
-        "--job-workers", type=int, metavar="N",
-        help="flow worker processes for this job (pinned; overrides the "
-        "server default)",
-    )
     sm.add_argument("--no-dp", action="store_true")
     sm.add_argument("--no-route", action="store_true")
     sm.add_argument("--wirelength-only", action="store_true")

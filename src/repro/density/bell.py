@@ -265,12 +265,8 @@ class BellDensity:
         """Window tables and per-bin contributions for this instance's
         small nodes.
 
-        Every operation is per-node-row independent, so an instance
-        carrying only a contiguous *chunk* of the small nodes (see
-        ``repro.parallel.gp``) computes rows bit-identical to the ones
-        the full instance would.  Returns
-        ``(flat, px, dpx, py, dpy, norm, contrib)``; the caller owns the
-        scatter/reduction of ``contrib`` into the field.
+        Returns ``(flat, px, dpx, py, dpy, norm, contrib)``; the caller
+        owns the scatter/reduction of ``contrib`` into the field.
         """
         grid = self.grid
         idx = self._small
@@ -603,9 +599,7 @@ class BellDensity:
     def _small_grad(self, psi, small_tables):
         """Per-node small gradient rows ``(t1x, t1y)`` from window tables.
 
-        Row-independent like :meth:`_small_window`, so chunk instances
-        (``repro.parallel.gp``) produce bit-identical rows; the caller
-        scatters them into the full gradient vectors.
+        The caller scatters them into the full gradient vectors.
         """
         _idx, flat, px, dpx, py, dpy, norm = small_tables
         n, kx, ky = flat.shape

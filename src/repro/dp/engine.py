@@ -38,14 +38,6 @@ class DPConfig:
     spread_threshold: float = 0.9
     spread_max_moves: int = 200
     min_gain_per_round: float = 1e-6
-    # Parity knob with the other stage configs (FlowConfig.workers
-    # propagates here).  The DP move passes are inherently sequential —
-    # every accepted move changes the scores of its neighbours — so they
-    # always run single-process; the knob exists so flow-level worker
-    # plumbing need not special-case this stage.
-    workers: int = 1
-    # Parity with the other stage configs' REPRO_WORKERS pinning knob.
-    workers_pinned: bool = False
     # Golden mode: run the original per-pin scoring loops (kept verbatim
     # in IncrementalHPWL) instead of the batched NumPy hot paths.  Results
     # are bit-identical either way — CI and the equivalence tests assert

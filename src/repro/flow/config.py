@@ -38,23 +38,6 @@ class FlowConfig:
     # k > 1 = full cost rebuild every k reroutes (faster, coarser).
     route_cost_refresh: int = 1
 
-    # Multi-core execution (repro.parallel): worker processes shared by
-    # the GP density/wirelength evaluations, the legalization row/domain
-    # loops, and the router's rip-up searches.  1 = serial (the
-    # REPRO_WORKERS env var can override it), 0 = one per CPU.  The
-    # value propagates to any sub-config (gp/legal) still at its own
-    # default, so an explicit per-stage setting wins.  ``deterministic``
-    # mirrors GPConfig.deterministic: True keeps placements bit-identical
-    # for any worker count, False lets GP workers pre-reduce their shard
-    # (reproducible per worker count only).
-    workers: int = 1
-    # True = ``workers`` is exact for every stage: the REPRO_WORKERS env
-    # var is never consulted.  The serve job engine always pins, so N
-    # concurrent jobs on one host use exactly the workers they were
-    # given instead of each fanning out to every core.
-    workers_pinned: bool = False
-    deterministic: bool = True
-
     # Resilience (see docs/robustness.md).
     # Validate the design at flow entry and refuse to run on fatal issues.
     validate_input: bool = True

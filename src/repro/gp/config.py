@@ -90,21 +90,6 @@ class GPConfig:
     guard_backoff: float = 0.5
     guard_gamma_inflate: float = 2.0
 
-    # Multi-core execution (repro.parallel): number of worker processes
-    # for the density/wirelength evaluations.  1 = serial (the default;
-    # the REPRO_WORKERS env var can override it), 0 = one per CPU.
-    # ``deterministic=True`` keeps every floating-point reduction in the
-    # parent in serial order, so placements are bit-identical to
-    # workers=1 for any worker count; False lets workers pre-reduce
-    # their shard (reproducible per worker count only).
-    workers: int = 1
-    # Pin the worker count to ``workers`` exactly: never consult the
-    # REPRO_WORKERS env var.  Job engines running several flows on one
-    # host set this so per-job counts stay explicit and concurrent jobs
-    # cannot oversubscribe cores (see resolve_workers(env=...)).
-    workers_pinned: bool = False
-    deterministic: bool = True
-
     # Misc.
     seed: int = 7
     verbose: bool = False

@@ -70,9 +70,7 @@ def _refine_row(tgt, widths, x_min: float, x_max: float, site_width: float):
     order.  Returns ``(order, xs_out, disps)``: the target-sorted cell
     order (indices into the input lists), the final lower-left x per
     sorted position, and the pre-repack |displacement| per sorted
-    position.  Both the serial loop and the row-parallel path
-    (``repro.parallel.legal``) call this exact function, so their rows
-    are bit-identical by construction.
+    position.
     """
     order = np.argsort(np.array(tgt), kind="stable").tolist()
     tgt = [tgt[j] for j in order]
@@ -153,23 +151,14 @@ def abacus_refine(
     desired_x: dict | None = None,
     *,
     reference: bool = False,
-    pool=None,
 ) -> float:
     """Refine every sub-row; returns total |x displacement| vs desired.
 
     ``desired_x`` maps node index to the pre-legalization lower-left x
-    (defaults to current positions, i.e. pure re-packing).  ``pool`` (a
-    :class:`repro.parallel.WorkerPool`) distributes the independent row
-    recurrences across workers; rows are applied in sub-row order, so
-    the result — including the returned displacement scalar — is
-    bit-identical to the serial path.
+    (defaults to current positions, i.e. pure re-packing).
     """
     if reference:
         return _refine_reference(design, submap, desired_x)
-    if pool is not None:
-        from repro.parallel.legal import abacus_refine_parallel
-
-        return abacus_refine_parallel(design, submap, desired_x, pool)
     total_disp = 0.0
     for sr in submap.subrows:
         if not sr.cells:

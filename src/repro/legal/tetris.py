@@ -29,7 +29,6 @@ def tetris_legalize(
     *,
     row_probe: int = 24,
     reference: bool = False,
-    pool=None,
 ) -> SubRowMap:
     """Assign every standard cell to a sub-row position.
 
@@ -39,25 +38,10 @@ def tetris_legalize(
     with pure tail packing, which never strands and succeeds whenever
     per-domain capacity suffices.  (Abacus restores x afterwards either
     way.)  Raises ``RuntimeError`` only on true capacity exhaustion.
-
-    ``pool`` (a :class:`repro.parallel.WorkerPool`) distributes fence
-    domains across workers — cells only interact with sub-rows of their
-    own domain, so per-domain processing in x order reproduces the
-    global x-order loop bit-identically.  Designs with fewer than two
-    populated domains fall back to the serial path.
     """
     if submap is None:
         submap = SubRowMap(design)
-
-    def assign(design, submap, row_probe, pack_only):
-        if pool is not None and not reference:
-            from repro.parallel.legal import tetris_assign_parallel
-
-            got = tetris_assign_parallel(design, submap, row_probe, pack_only, pool)
-            if got is not None:
-                return got
-        serial = _assign_reference if reference else _assign
-        return serial(design, submap, row_probe, pack_only)
+    assign = _assign_reference if reference else _assign
 
     snapshot = {
         n.index: (n.x, n.y)
@@ -202,82 +186,6 @@ def _assign(design: Design, submap: SubRowMap, row_probe: int, pack_only: bool) 
         tails[sid] = x + w
         sr.cells.append(node.index)
     return submap
-
-
-def _assign_domain(
-    cells,
-    dom_ys,
-    dom_xmin,
-    dom_xmax,
-    dom_site,
-    budgets,
-    row_probe: int,
-    pack_only: bool,
-):
-    """``_assign`` restricted to one fence domain, on plain arrays.
-
-    ``cells`` is a list of ``(x, y, width, name)`` tuples in global-x
-    order; the ``dom_*`` arrays describe the domain's sub-rows in
-    ``for_region`` order and ``budgets`` their stranding allowances.
-    Returns one ``(local_row, x)`` pair per cell.  Cells never read or
-    write another domain's tails, so running each domain independently
-    reproduces the interleaved global loop bit-identically — every
-    pricing expression below mirrors ``_assign`` term for term.  Raises
-    ``RuntimeError`` on capacity exhaustion, exactly like ``_assign``.
-    """
-    dom_ys = np.asarray(dom_ys, dtype=float)
-    dom_xmin = np.asarray(dom_xmin, dtype=float)
-    dom_xmax = np.asarray(dom_xmax, dtype=float)
-    dom_site = np.asarray(dom_site, dtype=float)
-    tails = dom_xmin.copy()
-    budgets = np.asarray(budgets, dtype=float).copy()
-    n_rows = len(dom_ys)
-    inf = float("inf")
-    out = []
-    for nx, ny, w, name in cells:
-        if n_rows == 0:
-            raise RuntimeError(f"no sub-rows available for cell {name}")
-        ranked = np.argsort(np.abs(dom_ys - ny), kind="stable")
-        if len(ranked) > row_probe:
-            ranked = ranked[:row_probe]
-        tail_r = tails[ranked]
-        if pack_only:
-            x = tail_r
-        else:
-            xmin_r = dom_xmin[ranked]
-            xmax_r = dom_xmax[ranked]
-            site_r = dom_site[ranked]
-            allowed = site_r * np.trunc(budgets[ranked] / site_r)
-            xs = np.minimum(np.maximum(nx, xmin_r), xmax_r - w)
-            snapped = xmin_r + np.rint((xs - xmin_r) / site_r) * site_r
-            snapped = np.where(snapped + w > xmax_r + 1e-9, snapped - site_r, snapped)
-            snapped = np.maximum(snapped, xmin_r)
-            x = np.minimum(np.maximum(tail_r, snapped), tail_r + allowed)
-        cost = np.abs(x - nx) + np.abs(dom_ys[ranked] - ny)
-        cost = np.where(x + w > dom_xmax[ranked] + 1e-9, inf, cost)
-        j = int(cost.argmin())
-        best_cost = float(cost[j])
-        if best_cost != inf:
-            best = (int(ranked[j]), float(x[j]))
-        else:
-            best = None
-        if best is None:
-            # Widen: any sub-row in the domain with room at its tail.
-            for r in range(n_rows):
-                tail = float(tails[r])
-                if tail + w > float(dom_xmax[r]) + 1e-9:
-                    continue
-                c = abs(tail - nx) + abs(float(dom_ys[r]) - ny)
-                if c < best_cost:
-                    best_cost = c
-                    best = (r, tail)
-        if best is None:
-            raise RuntimeError(f"legalization capacity exhausted placing {name}")
-        r, x = best
-        budgets[r] -= max(0.0, x - float(tails[r]))
-        tails[r] = x + w
-        out.append((r, x))
-    return out
 
 
 def _assign_reference(

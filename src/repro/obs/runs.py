@@ -54,15 +54,6 @@ TOLERANCES = {
     "hpwl_legal": (0.02, 0.0),
     "hpwl_final": (0.02, 0.0),
     "scaled_hpwl": (0.02, 0.0),
-    # Parallel-execution fields (worker-sweep sections of the BENCH
-    # records).  Worker count and the bit-identity flag are exact;
-    # per-count wall time and speedup are machine-dependent and get a
-    # wide-open band so a record that does place them under "metrics"
-    # never turns scheduler noise into a gate failure.
-    "workers": (0.0, 0.0),
-    "parallel_identical": (0.0, 0.0),
-    "parallel_wall_s": (1e9, 1e9),
-    "parallel_speedup": (1e9, 1e9),
     # Serve load-test records (BENCH_serve.json).  Job accounting is
     # exact — a lost or failed job is a correctness bug, not drift.
     # Requeue/respawn counts depend on where the kill lands and

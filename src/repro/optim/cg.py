@@ -97,12 +97,18 @@ def minimize_cg(
     d_hat = np.empty_like(d)
     x_try = np.empty_like(x)
     work = np.empty_like(d)
+    finite = np.empty(g.shape, dtype=bool)
     alpha = float(step_init)
     trajectory = [f] if record else []
     converged = False
     iterations = 0
     last_step = 0.0
     for it in range(max_iter):
+        # A NaN/Inf value or gradient would turn the direction, and with
+        # it every trial point, non-finite: stop before stepping and let
+        # the caller's guard see ``nonfinite``.
+        if not (math.isfinite(f) and np.isfinite(g, out=finite).all()):
+            break
         iterations = it + 1
         if d.size:
             np.abs(d, out=work)

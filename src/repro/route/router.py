@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs import get_tracer
-from repro.parallel import resolve_workers
 from repro.route.graph import GridGraph
 from repro.route.maze import maze_route, maze_route_reference
 from repro.route.metrics import CongestionMetrics, congestion_metrics
@@ -106,8 +105,6 @@ class GlobalRouter:
         maze_window_margin: int = 6,
         cost_refresh: int = 1,
         reference: bool = False,
-        workers: int = 1,
-        workers_pinned: bool = False,
     ):
         self.spec = spec
         self.sweeps = max(1, sweeps)
@@ -117,18 +114,6 @@ class GlobalRouter:
         self.maze_window_margin = maze_window_margin
         self.cost_refresh = cost_refresh
         self.reference = reference
-        # Worker processes for the rip-up/re-route searches
-        # (repro.parallel.route) — bit-identical to serial for any count.
-        # 1 = serial (REPRO_WORKERS env can override), 0 = one per CPU.
-        # Only the incremental cost mode (cost_refresh == 1) has a
-        # parallel path; reference mode always runs serial.
-        self.workers = workers
-        # True = ``workers`` is exact; REPRO_WORKERS is never consulted
-        # (per-job pinning on multi-job hosts).
-        self.workers_pinned = workers_pinned
-        self._par = None
-        self._par_workers = 1
-        self._par_failed = False
 
     # ------------------------------------------------------------------
     def segments_for(self, arrays, cx: np.ndarray, cy: np.ndarray):
@@ -184,21 +169,7 @@ class GlobalRouter:
             raise ValueError("route() needs a design or (arrays, cx, cy)")
         tracer = get_tracer()
         graph = GridGraph(self.spec)
-        self._par = None
-        self._par_failed = False
-        self._par_workers = (
-            1
-            if self.reference
-            else resolve_workers(self.workers, env=not self.workers_pinned)
-        )
-        try:
-            return self._route_phases(
-                graph, arrays, cx, cy, tracer, should_stop
-            )
-        finally:
-            if self._par is not None:
-                self._par.close()
-                self._par = None
+        return self._route_phases(graph, arrays, cx, cy, tracer, should_stop)
 
     def _route_phases(
         self, graph, arrays, cx, cy, tracer, should_stop
@@ -433,24 +404,6 @@ class GlobalRouter:
                 out.append(idx)
         return out
 
-    def _parallel(self, graph):
-        """Lazily build the pool+shm for this graph; None on failure."""
-        if self._par is not None and self._par.graph is graph:
-            return self._par
-        if self._par_failed:
-            return None
-        try:
-            from repro.parallel.route import ParallelRouter
-
-            self._par = ParallelRouter.create(graph, self._par_workers)
-        except Exception:
-            self._par = None
-        if self._par is None:
-            # Degenerate grid or pool construction failure: stay serial
-            # for the rest of this route() call.
-            self._par_failed = True
-        return self._par
-
     def _reroute_offenders(
         self, graph: GridGraph, routes, i0, j0, i1, j1, *, use_maze: bool
     ) -> int:
@@ -478,13 +431,6 @@ class GlobalRouter:
         # recomputed and re-prefixed, which is bitwise identical to the
         # reference's full rebuild after every rip.
         incremental = self.cost_refresh == 1 and not self.reference
-        if incremental and self._par_workers > 1 and len(offenders) >= 8:
-            par = self._parallel(graph)
-            if par is not None:
-                return par.reroute(
-                    routes, i0, j0, i1, j1, offenders,
-                    use_maze=use_maze, margin=self.maze_window_margin,
-                )
         if incremental:
             cost_e, cost_n = graph.cost_arrays()
             pe, pn = prefix_costs(cost_e, cost_n)

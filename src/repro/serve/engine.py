@@ -62,9 +62,6 @@ class ServeSettings:
     cancel_grace: float = 5.0
     #: Monitor-thread poll cadence, seconds.
     monitor_interval: float = 0.25
-    #: Default per-job flow worker count (jobs may override; always
-    #: pinned, so REPRO_WORKERS never multiplies across jobs).
-    default_job_workers: int = 1
     #: Optional run-registry directory: every completed job also lands
     #: in ``repro runs`` history.
     runs_dir: str | None = None
@@ -115,8 +112,12 @@ class WorkerSupervisor:
         self.root = str(root)
         self.settings = settings or ServeSettings()
         self.store = JobStore(self.root)
-        methods = mp.get_all_start_methods()
-        self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+        # Workers are started from the monitor thread while other threads
+        # of this process (the caller, HTTP handlers) may be inside
+        # SQLite.  A forked child inherits SQLite's process-wide mutexes
+        # in whatever state those threads held them and can hang on its
+        # first connect; a spawned child starts from a fresh interpreter.
+        self._ctx = mp.get_context("spawn")
         self._procs: list = []
         self._monitor: threading.Thread | None = None
         self._stop = threading.Event()
@@ -167,7 +168,7 @@ class WorkerSupervisor:
                 self.settings.worker_settings(os.getpid()),
             ),
             name=f"repro-serve-{worker_id}",
-            daemon=False,  # workers spawn their own WorkerPool children
+            daemon=False,
         )
         proc.start()
         return proc

@@ -2,9 +2,9 @@
 
 One job record describes one queued placement run end to end: what to
 place (a suite name, an inline benchgen spec, or a Bookshelf ``.aux``
-path), how to run it (flow options, per-job worker count, stage
-budgets), where it stands in the lifecycle state machine, and — once a
-worker finishes it — the result summary.  Records are JSON documents
+path), how to run it (flow options and stage budgets), where it stands
+in the lifecycle state machine, and — once a worker finishes it — the
+result summary.  Records are JSON documents
 stored in the job store's SQLite ``record`` column and served verbatim
 over the HTTP API, versioned by :data:`JOB_SCHEMA_VERSION` and
 committed as ``docs/schemas/job-record-v1.schema.json`` (a test asserts
@@ -84,10 +84,6 @@ def build_job_schema() -> dict:
                             "route": _BOOL,
                             "run_dp": _BOOL,
                             "wirelength_only": _BOOL,
-                            # Per-job worker-process count for the flow's
-                            # parallel stages; pinned, so the server's
-                            # REPRO_WORKERS cannot oversubscribe cores.
-                            "workers": _INT,
                             # Dotted FlowConfig overrides, e.g.
                             # {"gp.max_outer_iterations": 12}.
                             "config": _OBJ,

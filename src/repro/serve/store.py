@@ -387,6 +387,19 @@ class JobStore:
     def _dump(record: dict) -> str:
         return json.dumps(record, sort_keys=True)
 
+    @staticmethod
+    def _load(text: str) -> dict:
+        """One stored record, upgraded to the current schema.
+
+        Records written before the per-job worker count was removed may
+        still carry ``options.workers``; the flow is serial now, so the
+        key is dropped here instead of failing validation on the job's
+        next finish or requeue write.
+        """
+        record = json.loads(text)
+        record.get("options", {}).pop("workers", None)
+        return record
+
     def _put(self, txn: _WriteTxn, record: dict, op: str, *,
              refund: bool = False) -> None:
         """Write ``record`` plus its mirrored columns (inside a txn).
@@ -425,7 +438,7 @@ class JobStore:
         ).fetchone()
         if row is None:
             raise JobStoreError(f"no job {job_id!r} in {self.root}")
-        return json.loads(row[0])
+        return self._load(row[0])
 
     # -- submission ----------------------------------------------------
     def submit(
@@ -486,7 +499,7 @@ class JobStore:
             ).fetchone()
             if row is None:
                 return None
-            record = json.loads(row[1])
+            record = self._load(row[1])
             record["state"] = "running"
             record["attempts"] = int(record["attempts"]) + 1
             record["worker"] = int(worker_pid)
@@ -684,7 +697,7 @@ class JobStore:
                 " AND heartbeat IS NOT NULL AND heartbeat < ?",
                 (now - float(timeout),),
             ).fetchall()
-        return [json.loads(r[0]) for r in rows]
+        return [self._load(r[0]) for r in rows]
 
     def running(self) -> list[dict]:
         """All currently running jobs."""
@@ -698,7 +711,7 @@ class JobStore:
                 "SELECT record FROM jobs WHERE job_id = ?", (job_id,)
             ).fetchone()
             if row is not None:
-                return json.loads(row[0])
+                return self._load(row[0])
             rows = con.execute(
                 "SELECT record FROM jobs WHERE job_id LIKE ?"
                 " ORDER BY created DESC",
@@ -707,11 +720,11 @@ class JobStore:
         if not rows:
             raise JobStoreError(f"no job matching {job_id!r} in {self.root}")
         if len(rows) > 1:
-            ids = [json.loads(r[0])["job_id"] for r in rows]
+            ids = [self._load(r[0])["job_id"] for r in rows]
             raise JobStoreError(
                 f"ambiguous job id {job_id!r}: matches {', '.join(ids)}"
             )
-        return json.loads(rows[0][0])
+        return self._load(rows[0][0])
 
     def list(self, *, state: str | None = None,
              limit: int | None = None, offset: int = 0) -> list[dict]:
@@ -733,7 +746,7 @@ class JobStore:
             params.append(int(offset))
         with self._read() as con:
             rows = con.execute(query, params).fetchall()
-        return [json.loads(r[0]) for r in rows]
+        return [self._load(r[0]) for r in rows]
 
     def counts(self) -> dict:
         """``{state: count}`` over every job in the store."""

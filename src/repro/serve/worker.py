@@ -1,13 +1,11 @@
 """One serve worker process: claim jobs, run flows, report back.
 
-A worker is a plain OS process running :func:`worker_loop` — a sibling
-of :class:`repro.parallel.WorkerPool` workers, but draining a shared
-persistent queue instead of executing pipelined tasks.  Each claimed
-job builds its design (suite name, inline benchgen spec, or Bookshelf
-``.aux``), assembles a per-job :class:`~repro.flow.config.FlowConfig`
-(checkpoint dir under the job directory, **pinned** per-job worker
-count so the server-level ``REPRO_WORKERS`` can never oversubscribe
-cores), and runs :class:`~repro.flow.ntuplace4h.NTUplace4H` under a
+A worker is a plain OS process running :func:`worker_loop`, draining a
+shared persistent queue one job at a time.  Each claimed job builds its
+design (suite name, inline benchgen spec, or Bookshelf ``.aux``),
+assembles a per-job :class:`~repro.flow.config.FlowConfig` (checkpoint
+dir under the job directory), and runs the serial
+:class:`~repro.flow.ntuplace4h.NTUplace4H` flow under a
 dedicated tracer whose sinks provide the serve plumbing:
 
 * a :class:`~repro.obs.bus.JsonlStreamSink` streaming
@@ -25,10 +23,9 @@ supervisor) notices ``cancel_requested`` and sends the worker
 ``SIGUSR1``; the handler raises :class:`JobCancelled` — a
 ``BaseException`` subclass, so it passes straight through the flow's
 per-stage ``except Exception`` degradation handlers and unwinds every
-``finally`` block on the way out (worker pools shut down, shared-memory
-segments unlink; ``tests/test_serve.py`` asserts the no-leak
-post-condition).  ``SIGTERM`` is an orderly shutdown: the active job is
-requeued with its attempt refunded, then the loop exits.
+``finally`` block on the way out.  ``SIGTERM`` is an orderly shutdown:
+the active job is requeued with its attempt refunded, then the loop
+exits.
 
 A worker killed outright (``SIGKILL``, OOM, a ``serve.worker_exit``
 fault) simply stops heartbeating; the supervisor requeues its job, and
@@ -132,16 +129,8 @@ def build_design(design_ref: dict):
 
 
 def build_flow_config(options: dict, *, job_dir: str,
-                      default_workers: int = 1,
                       runs_dir: str | None = None):
-    """A per-job :class:`FlowConfig` from the job's ``options``.
-
-    The worker count is always **pinned** (``workers_pinned=True``):
-    a job that asked for 1 worker runs serial even when the server
-    process exports ``REPRO_WORKERS`` — N concurrent jobs silently
-    fanning out N×REPRO_WORKERS processes is exactly the
-    oversubscription failure this flag exists to prevent.
-    """
+    """A per-job :class:`FlowConfig` from the job's ``options``."""
     from repro.flow import FlowConfig
 
     cfg = (
@@ -170,8 +159,6 @@ def build_flow_config(options: dict, *, job_dir: str,
         cfg.stage_budget = {
             str(k): float(v) for k, v in options["stage_budget"].items()
         }
-    cfg.workers = int(options.get("workers", default_workers))
-    cfg.workers_pinned = True
     cfg.checkpoint_dir = os.path.join(job_dir, "checkpoint")
     cfg.runs_dir = runs_dir
     return cfg
@@ -312,7 +299,6 @@ def run_job(store: JobStore, record: dict, *, settings: dict,
         cfg = build_flow_config(
             options,
             job_dir=job_dir,
-            default_workers=int(settings.get("default_job_workers", 1)),
             runs_dir=settings.get("runs_dir"),
         )
         design = build_design(record["design"])

@@ -110,3 +110,64 @@ class TestEdgeCases:
         f = quadratic([1.0])
         res = minimize_cg(f, np.zeros(1), max_iter=10, step_init=0.5)
         assert res.trajectory == []
+
+
+class TestNonFinite:
+    """A NaN/Inf value or gradient stops the solver before it steps."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_start_gradient_stops_without_evaluating(self, bad):
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            g = 2.0 * x
+            g[1] = bad
+            return float(x @ x), g
+
+        x0 = np.array([1.0, 2.0, 3.0])
+        res = minimize_cg(f, x0, max_iter=10, step_init=1.0)
+        assert res.nonfinite
+        assert res.iterations == 0
+        assert not res.converged
+        assert len(calls) == 1  # no trial point was ever formed
+        np.testing.assert_array_equal(res.x, x0)
+
+    def test_nonfinite_start_value_stops(self):
+        def f(x):
+            return float("nan"), 2.0 * x
+
+        x0 = np.array([1.0, -1.0])
+        res = minimize_cg(f, x0, max_iter=10, step_init=1.0)
+        assert res.nonfinite
+        assert res.iterations == 0
+        np.testing.assert_array_equal(res.x, x0)
+
+    def test_poisoned_gradient_mid_run_keeps_finite_iterate(self):
+        base = quadratic([5.0, 5.0, 5.0])
+        calls = []
+
+        def f(x):
+            calls.append(None)
+            value, g = base(x)
+            if len(calls) >= 3:
+                g = g.copy()
+                g[0] = np.nan
+            return value, g
+
+        res = minimize_cg(f, np.zeros(3), max_iter=50, step_init=1.0,
+                          rel_tol=0.0)
+        assert res.nonfinite
+        assert np.isfinite(res.x).all()
+        # Stopped on the poisoned gradient: no probe after it.
+        assert len(calls) == 3
+
+    def test_finite_run_matches_reference(self):
+        f = quadratic(np.linspace(-3.0, 4.0, 7), scale=0.7)
+        kwargs = dict(max_iter=40, step_init=0.5, step_max=2.0, record=True)
+        fast = minimize_cg(f, np.zeros(7), **kwargs)
+        ref = minimize_cg(f, np.zeros(7), reference=True, **kwargs)
+        np.testing.assert_array_equal(fast.x, ref.x)
+        assert fast.trajectory == ref.trajectory
+        assert fast.iterations == ref.iterations
+        assert not fast.nonfinite and not ref.nonfinite

@@ -1,27 +1,27 @@
 """Tests for the placement-as-a-service job engine (``repro.serve``).
 
 Covers the store's transactional semantics (the claim, attempt-scoped
-write guards, bounded requeues), the job-record schema, the per-job
-worker pinning that keeps concurrent jobs from oversubscribing cores,
-and the supervisor's crash/cancel reliability loop end to end —
-including the two failure drills the engine exists for: a worker
-killed mid-flow whose job resumes bit-identically from its checkpoint,
-and a cancel during routing that leaves no shared-memory segment
-behind.
+write guards, bounded requeues), the job-record schema and records
+stored under an older revision of it, the per-job flow config, and the
+supervisor's crash/cancel reliability loop end to end — including the
+two failure drills the engine exists for: a worker killed mid-flow
+whose job resumes bit-identically from its checkpoint, and a cancel
+during routing that leaves no shared-memory segment behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import json
 import os
 import signal
+import sqlite3
 import time
 
 import pytest
 
 from repro.benchgen import BenchmarkSpec, make_benchmark
-from repro.parallel import resolve_workers
 from repro.serve import (
     JobServer,
     JobStore,
@@ -29,6 +29,7 @@ from repro.serve import (
     ServeSettings,
     WorkerSupervisor,
 )
+from repro.serve.journal import check_invariants, entry_for
 from repro.serve.schema import (
     JOB_SCHEMA_VERSION,
     SchemaError,
@@ -84,6 +85,10 @@ class TestJobSchema:
         record["surprise"] = 1
         with pytest.raises(SchemaError, match="surprise"):
             validate_job_record(record)
+
+    def test_rejects_flow_worker_count(self):
+        with pytest.raises(SchemaError, match="workers"):
+            new_job_record({"spec": SPEC}, options={"workers": 2})
 
     def test_rejects_bad_state(self):
         record = new_job_record({"spec": SPEC})
@@ -297,32 +302,7 @@ class TestJobStore:
             assert stamps == sorted(stamps)
 
 
-class TestWorkerPinning:
-    def test_resolve_workers_env_opt_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "8")
-        assert resolve_workers(1) == 8
-        assert resolve_workers(1, env=False) == 1
-
-    def test_build_flow_config_pins_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "16")
-        cfg = build_flow_config({}, job_dir=str(tmp_path), default_workers=1)
-        assert cfg.workers == 1
-        assert cfg.workers_pinned is True
-        assert cfg.checkpoint_dir == str(tmp_path / "checkpoint")
-
-    def test_pin_propagates_to_stage_configs(self, tmp_path):
-        from repro.flow import NTUplace4H
-
-        cfg = build_flow_config(
-            {"run_dp": False, "config": {"gp.max_outer_iterations": 2}},
-            job_dir=str(tmp_path),
-        )
-        flow = NTUplace4H(cfg)
-        flow.run(make_benchmark(BenchmarkSpec(**SPEC)), route=False)
-        assert cfg.gp.workers_pinned is True
-        assert cfg.legal.workers_pinned is True
-        assert cfg.dp.workers_pinned is True
-
+class TestBuildFlowConfig:
     def test_config_override_type_checked(self, tmp_path):
         with pytest.raises(ValueError, match="unknown flow-config"):
             build_flow_config(
@@ -333,6 +313,107 @@ class TestWorkerPinning:
             job_dir=str(tmp_path),
         )
         assert cfg.gp.max_outer_iterations == 7
+        assert cfg.checkpoint_dir == str(tmp_path / "checkpoint")
+
+
+class TestLegacyRecords:
+    def test_worker_count_record_claims_runs_and_rebuilds(self, tmp_path):
+        """A job stored when records still carried a per-job flow worker
+        count (``options.workers``) claims, runs serially, finishes and
+        survives a journal rebuild; the key is dropped on load."""
+        root = tmp_path / "serve"
+        store = JobStore(root)
+        legacy = {
+            "schema": 1,
+            "job_id": "servetest-20250101-000000-0123abcd",
+            "created": 1735689600.0,
+            "priority": 0,
+            "state": "queued",
+            "attempts": 0,
+            "max_retries": 2,
+            "design": {"spec": dict(SPEC)},
+            "options": {
+                "route": False,
+                "run_dp": False,
+                "workers": 2,
+                "config": {"gp.max_outer_iterations": 3},
+            },
+            "submitted": 1735689600.0,
+            "started": None,
+            "finished": None,
+            "worker": None,
+            "heartbeat": None,
+            "stage": None,
+            "cancel_requested": False,
+            "job_dir": None,
+            "trace_path": None,
+            "checkpoint_dir": None,
+            "result": None,
+            "error": None,
+            "requeues": [],
+        }
+        job_id = legacy["job_id"]
+        # The journal line is the only copy: the rebuild turns it into
+        # the SQLite row, so both stored forms carry the legacy key.
+        store.journal.append(
+            entry_for("submit", legacy, seq=1, now=legacy["created"])
+        )
+        assert store.recover("legacy journal") == 1
+        with contextlib.closing(sqlite3.connect(store.db_path)) as con:
+            row = con.execute(
+                "SELECT record FROM jobs WHERE job_id = ?", (job_id,)
+            ).fetchone()
+        assert json.loads(row[0])["options"]["workers"] == 2
+        assert "workers" not in store.get(job_id)["options"]
+
+        with WorkerSupervisor(root, fast_settings()):
+            final = wait_for(
+                lambda: (r := store.get(job_id))["state"]
+                in ("done", "failed") and r
+            )
+        assert final["state"] == "done", final["error"]
+        assert final["attempts"] == 1
+        assert final["result"]["hpwl_final"] > 0
+        validate_job_record(final)
+
+        assert store.recover("rebuild after finish") == 1
+        rebuilt = store.get(job_id)
+        assert rebuilt["state"] == "done"
+        assert rebuilt["result"] == final["result"]
+        assert check_invariants(store.journal, expect_submitted=1) == []
+
+    def test_worker_count_sqlite_row_requeues_and_finishes(self, tmp_path):
+        """A SQLite row carrying ``options.workers`` passes the validated
+        requeue and finish writes, and every read path drops the key."""
+        store = JobStore(tmp_path / "serve")
+        job_id = store.submit(
+            {"spec": SPEC}, options={"route": False}
+        )["job_id"]
+        with contextlib.closing(sqlite3.connect(store.db_path)) as con:
+            row = con.execute(
+                "SELECT record FROM jobs WHERE job_id = ?", (job_id,)
+            ).fetchone()
+            legacy = json.loads(row[0])
+            legacy["options"]["workers"] = 2
+            with con:
+                con.execute(
+                    "UPDATE jobs SET record = ? WHERE job_id = ?",
+                    (json.dumps(legacy, sort_keys=True), job_id),
+                )
+        assert "workers" not in store.list()[0]["options"]
+        claimed = store.claim(111)
+        assert claimed["job_id"] == job_id
+        assert claimed["options"] == {"route": False}
+        assert "workers" not in store.stale_running(
+            0.0, now=time.time() + 60.0
+        )[0]["options"]
+        requeued = store.requeue(job_id, "worker_lost", expect_worker=111)
+        assert requeued["state"] == "queued"
+        store.claim(222)
+        done = store.finish(job_id, {"hpwl_final": 1.0}, attempt=2)
+        assert done["state"] == "done"
+        validate_job_record(done)
+        assert "workers" not in store.get(job_id)["options"]
 
 
 def _shm_segments() -> set:
@@ -409,7 +490,7 @@ class TestServeEngine:
         before = _shm_segments()
         record = store.submit(
             {"spec": spec},
-            options={"route": True, "run_dp": False, "workers": 2,
+            options={"route": True, "run_dp": False,
                      "config": {"gp.max_outer_iterations": 4}},
         )
         job_id = record["job_id"]

@@ -88,6 +88,11 @@ class TestHealthAndErrors:
         with pytest.raises(ServeAPIError) as exc:
             client.submit({"spec": SPEC}, options={"banana": 1})
         assert exc.value.status == 400
+        # The removed per-job flow worker count is unknown like any other.
+        with pytest.raises(ServeAPIError) as exc:
+            client.submit({"spec": SPEC}, options={"workers": 2})
+        assert exc.value.status == 400
+        assert "workers" in exc.value.message
 
 
 class TestQueuedLifecycle:
