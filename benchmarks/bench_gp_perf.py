@@ -113,6 +113,9 @@ def run_bench(design_name: str, repeats: int):
             "gp_iterations": sum(1 for _ in report.iterations),
         },
         "identical_placements": True,
+        # Why the GP outer loop ended (target/stalled/cap/budget/guard);
+        # top-level, so check_regression does not gate it.
+        "stop_reason": report.stop_reason,
         # True when any resilience fallback fired mid-bench; the
         # regression gate refuses degraded records.
         "degraded": bool(

@@ -110,6 +110,7 @@ def run_bench(design_name: str, repeats: int, seed: int, train_designs: int):
             "predict_s": round(spans.get("predict", 0.0), 4),
             "hpwl": report.final_hpwl,
             "overflow": report.final_overflow,
+            "stop_reason": report.stop_reason,
             "report": report,
             "state": _state(design),
         }
@@ -131,6 +132,8 @@ def run_bench(design_name: str, repeats: int, seed: int, train_designs: int):
         "router": {k: v for k, v in router.items() if k not in ("report", "state")},
         "hybrid": {k: v for k, v in hybrid.items() if k not in ("report", "state")},
         "inflation_speedup": round(speedup, 3),
+        # Why the hybrid leg's GP loop ended; outside the gated metrics.
+        "stop_reason": hybrid["stop_reason"],
         "metrics": {
             "hpwl": hybrid["hpwl"],
             "overflow": hybrid["overflow"],

@@ -485,6 +485,9 @@ class NTUplace4H:
             refine_cfg.freeze_macros = True
             refine_cfg.clustering = False
             refine_cfg.max_outer_iterations = cfg.refine_outer_iterations
+            # Refine re-ramps lambda from scratch over its fixed budget;
+            # stopping it on a stall costs RC on congested designs.
+            refine_cfg.stall_iterations = 0
             refiner = GlobalPlacer(refine_cfg)
             refiner.metric_prefix = "gp.refine"
             with tracer.span("refine"):

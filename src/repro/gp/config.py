@@ -27,9 +27,17 @@ class GPConfig:
     # Penalty schedule.
     lambda_initial_ratio: float = 0.12  # lambda0 * |grad D| ~ ratio * |grad WL|
     lambda_growth: float = 1.9
+    # Safety cap on outer iterations; the loop normally ends on the
+    # overflow target or on the stall stop below.
     max_outer_iterations: int = 40
     inner_iterations: int = 24
     overflow_target: float = 0.06  # stop when density overflow falls below
+    # Stall stop: once overflow has reached ``inflation_start_overflow``,
+    # stop after this many outer iterations in a row that fail to lower
+    # the best overflow by 2% (placer.STALL_MIN_PROGRESS), keeping the
+    # last iterate.  Inflation can make the overflow target unreachable;
+    # this ends the loop there instead of at the cap.  0 disables it.
+    stall_iterations: int = 3
 
     # Step control (multiples of bin width).
     step_init_bins: float = 6.0

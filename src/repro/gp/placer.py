@@ -1,10 +1,12 @@
 """The routability-driven analytical global placer (NTUplace4h core loop).
 
 Minimizes ``WL + lambda * density (+ mu * fence)`` by projected nonlinear
-conjugate gradient, doubling ``lambda`` each outer iteration until the
-density overflow target is met.  Routability-driven cell inflation and
-macro orientation passes interleave with the outer iterations; an
-optional hierarchy-aware clustering V-cycle accelerates large designs.
+conjugate gradient, growing ``lambda`` each outer iteration until the
+density overflow target is met or overflow stops improving (the stall
+stop; ``max_outer_iterations`` is only a safety cap).  Routability-driven
+cell inflation and macro orientation passes interleave with the outer
+iterations; an optional hierarchy-aware clustering V-cycle accelerates
+large designs.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ from repro.wirelength import hpwl as exact_hpwl
 from repro.wirelength import make_model
 
 _log = get_logger("gp")
+
+# Stall stop: an outer iteration is progress only if it lowers the best
+# overflow seen since the stop armed by at least this fraction.
+STALL_MIN_PROGRESS = 0.02
 
 
 @dataclass
@@ -67,6 +73,11 @@ class GPReport:
     guard_exhausted: bool = False   # retries ran out; kept last-good state
     budget_exhausted: bool = False  # stage watchdog expired mid-descent
     inflation: dict = field(default_factory=dict)  # hybrid-estimator stats
+    # Why the outer loop ended: "target" (overflow target met), "stalled"
+    # (no overflow progress over GPConfig.stall_iterations), "cap"
+    # (max_outer_iterations), "budget" (stage watchdog) or "guard"
+    # (numerical-guard retries exhausted).
+    stop_reason: str = ""
 
     @property
     def num_iterations(self) -> int:
@@ -86,6 +97,7 @@ class GPReport:
             "cg_iters": [s.cg_iters for s in its],
             "mean_inflation": [s.mean_inflation for s in its],
             "fence": [s.fence for s in its],
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -118,6 +130,7 @@ class GlobalPlacer:
         report = GPReport()
         movable = design.movable_indices()
         if len(movable) == 0:
+            report.stop_reason = "target"
             report.runtime_seconds = time.perf_counter() - t0
             return report
 
@@ -134,19 +147,17 @@ class GlobalPlacer:
                 clustered = cluster_design(design, ratio=cfg.cluster_ratio)
                 coarse_placer = GlobalPlacer(self._coarse_config())
                 coarse_placer.metric_prefix = self.metric_prefix + ".coarse"
-                coarse_report = coarse_placer.place(clustered.coarse)
+                coarse_report = coarse_placer.place(
+                    clustered.coarse, watchdog=watchdog
+                )
+                report.budget_exhausted = coarse_report.budget_exhausted
                 # Surface the deepest level's trajectory for inspection.
                 report.coarse_iterations = (
                     coarse_report.coarse_iterations or coarse_report.iterations
                 )
                 clustered.transfer_positions()
 
-        flat = self._place_flat(
-            design,
-            report,
-            warm=bool(report.coarse_iterations) or warm_start,
-            watchdog=watchdog,
-        )
+        flat = self._place_flat(design, report, watchdog=watchdog)
         report.final_hpwl = design.hpwl()
         report.final_overflow = flat
         report.runtime_seconds = time.perf_counter() - t0
@@ -166,9 +177,7 @@ class GlobalPlacer:
         return coarse
 
     # ------------------------------------------------------------------
-    def _place_flat(
-        self, design: Design, report: GPReport, warm: bool, watchdog=None
-    ) -> float:
+    def _place_flat(self, design: Design, report: GPReport, watchdog=None) -> float:
         cfg = self.config
         core = design.core
         movable_mask = design.movable_mask()
@@ -177,7 +186,9 @@ class GlobalPlacer:
         mov = np.flatnonzero(movable_mask)
         m = len(mov)
         if m == 0:
-            return self._overflow_design(design)
+            overflow = self._overflow_design(design)
+            self._record_stop(report, "target", -1, overflow)
+            return overflow
 
         grid = self._density_grid(design, len(mov))
         fixed_rects = [
@@ -429,6 +440,14 @@ class GlobalPlacer:
         tracer = get_tracer()
         metrics = tracer.metrics
         prefix = self.metric_prefix
+        # Stall stop state: ``best`` is None until overflow first reaches
+        # the inflation gate; after that, ``idle`` counts committed outer
+        # iterations that did not improve on it by STALL_MIN_PROGRESS.
+        # Retries after a guard rollback ``continue`` past this bookkeeping.
+        best = None
+        idle = 0
+        stop = "cap"
+        outer = -1
         for outer in range(cfg.max_outer_iterations):
             with tracer.span(f"iter[{outer}]"):
                 if (
@@ -510,6 +529,7 @@ class GlobalPlacer:
                             # No snapshot or retries exhausted: keep the
                             # best state we have and stop cleanly.
                             report.guard_exhausted = True
+                            stop = "guard"
                             if guard.last_good is not None:
                                 v = np.array(guard.last_good.v, copy=True)
                                 unpack(v)
@@ -570,6 +590,7 @@ class GlobalPlacer:
                     )
             if watchdog is not None and watchdog.expired():
                 report.budget_exhausted = True
+                stop = "budget"
                 tracer.event("watchdog.expired", outer=outer, **watchdog.describe())
                 _log.warning(
                     "[%s %s] stage budget expired after outer=%d; winding down",
@@ -579,7 +600,20 @@ class GlobalPlacer:
                 )
                 break
             if overflow <= cfg.overflow_target:
+                stop = "target"
                 break
+            if cfg.stall_iterations > 0:
+                if best is None:
+                    if overflow <= cfg.inflation_start_overflow:
+                        best = overflow
+                elif overflow <= best * (1.0 - STALL_MIN_PROGRESS):
+                    best = overflow
+                    idle = 0
+                else:
+                    idle += 1
+                    if idle >= cfg.stall_iterations:
+                        stop = "stalled"
+                        break
             state["lam"] *= cfg.lambda_growth
             if fence.active:
                 state["mu"] *= cfg.fence_weight_growth
@@ -588,6 +622,7 @@ class GlobalPlacer:
                     wl_model.gamma * cfg.gamma_decay, 0.5 * min(grid.bin_w, grid.bin_h)
                 )
 
+        self._record_stop(report, stop, outer, overflow)
         if guard is not None:
             report.guard_rollbacks += guard.rollbacks
             report.guard_events += [e.as_dict() for e in guard.events]
@@ -607,6 +642,14 @@ class GlobalPlacer:
             )
         report.fence_projected = project_into_fences(design)
         return overflow
+
+    def _record_stop(
+        self, report: GPReport, reason: str, outer: int, overflow: float
+    ) -> None:
+        report.stop_reason = reason
+        get_tracer().event(
+            self.metric_prefix + ".stop", reason=reason, outer=outer, overflow=overflow
+        )
 
     @staticmethod
     def _overflow_design(design: Design) -> float:

@@ -5,6 +5,9 @@ Pins what the flow promises without a worker layer:
 * GP, legalization (fence domains included) and rip-up routing
   reproduce their own output bit for bit on a rerun, and GP and
   legalization match their reference implementations;
+* inside the flow, GP records why it stopped, a GP stage budget reaches
+  the coarse V-cycle levels, and a run whose GP stops on a stall resumes
+  from its checkpoint bit for bit;
 * the worker knobs that once selected a second path are refused (config
   fields, constructor arguments, kernel parameters, CLI flags) rather
   than silently accepted;
@@ -26,7 +29,7 @@ from repro.benchgen import BenchmarkSpec, make_benchmark
 from repro.cli import build_parser
 from repro.db import Design, Node, Region, Row
 from repro.dp import DPConfig
-from repro.flow import FlowConfig
+from repro.flow import FlowConfig, NTUplace4H
 from repro.geometry import Rect
 from repro.gp import GlobalPlacer, GPConfig
 from repro.legal import (
@@ -36,6 +39,8 @@ from repro.legal import (
     check_legal,
     tetris_legalize,
 )
+from repro.obs import Tracer, use_tracer
+from repro.resilience import inject, load_checkpoint, reset_clock_skew
 from repro.route import GlobalRouter
 
 
@@ -82,6 +87,103 @@ class TestGlobalPlacement:
 
     def test_matches_reference_path(self):
         assert_same_state(place(), place(reference=True))
+
+
+# ----------------------------------------------------------------------
+# GP stop rule inside the flow
+# ----------------------------------------------------------------------
+def stall_design():
+    """Small rh02-shaped design on which GP stops on a stall."""
+    return make_benchmark(
+        BenchmarkSpec(
+            name="s", num_cells=300, num_macros=3, num_fixed_macros=2,
+            macro_area_fraction=0.2, num_terminals=16, utilization=0.7,
+            cap_factor=5.23, congested_band=0.5, seed=3,
+        )
+    )
+
+
+def stall_flow(checkpoint_dir=None) -> FlowConfig:
+    cfg = FlowConfig()
+    cfg.gp.inner_iterations = 16
+    # Long enough for the stall rule to fire in refine if refine did
+    # not opt out of it (it would stop at outer 6).
+    cfg.refine_outer_iterations = 8
+    cfg.dp = DPConfig(rounds=1)
+    cfg.checkpoint_dir = checkpoint_dir
+    return cfg
+
+
+def flow_state(design):
+    return [(n.name, n.x, n.y, n.orientation) for n in design.nodes]
+
+
+class TestGPStopInFlow:
+    def test_stop_reasons_recorded_and_refine_keeps_its_budget(self):
+        with use_tracer(Tracer()) as t:
+            result = NTUplace4H(stall_flow()).run(stall_design(), route=False)
+        assert result.telemetry["gp"]["stop_reason"] == "stalled"
+        stops = {e.name: e.attrs for e in t.events() if e.name.endswith(".stop")}
+        assert set(stops) == {"gp.stop", "gp.refine.stop"}
+        assert stops["gp.stop"]["reason"] == "stalled"
+        assert stops["gp.stop"]["outer"] == result.gp_report.iterations[-1].outer
+        # The refine GP opts out of the stall stop: it runs its fixed
+        # budget unless it meets the overflow target first.
+        assert stops["gp.refine.stop"]["reason"] == "cap"
+        assert stops["gp.refine.stop"]["outer"] == 7
+
+    def test_checkpoint_resume_after_stalled_gp_bit_identical(
+        self, tmp_path, monkeypatch
+    ):
+        ref_design = stall_design()
+        ref = NTUplace4H(stall_flow()).run(ref_design, route=False)
+
+        ckpt_dir = str(tmp_path / "ck")
+
+        def killed(self, design):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as mp:
+            mp.setattr(NTUplace4H, "_macro_legal_refine", killed)
+            with pytest.raises(KeyboardInterrupt):
+                NTUplace4H(stall_flow(ckpt_dir)).run(stall_design(), route=False)
+        ckpt = load_checkpoint(ckpt_dir)
+        assert ckpt.completed == ["gp"]
+        assert ckpt.telemetry["gp"]["stop_reason"] == "stalled"
+
+        resumed = stall_design()
+        result = NTUplace4H(stall_flow(ckpt_dir)).run(
+            resumed, resume_from=ckpt_dir, route=False
+        )
+        assert result.resumed_stages == ["gp"]
+        assert flow_state(resumed) == flow_state(ref_design)
+        assert result.telemetry["gp"] == ref.telemetry["gp"]
+        for name in ("hpwl_gp", "hpwl_legal", "hpwl_final", "legal"):
+            assert getattr(result, name) == getattr(ref, name), name
+
+    def test_gp_budget_reaches_the_coarse_levels(self):
+        cfg = stall_flow()
+        cfg.gp.cluster_min_nodes = 100
+        cfg.stage_budget = {"gp": 60.0}
+        design = make_benchmark(
+            BenchmarkSpec(name="v", num_cells=600, num_macros=2, seed=30)
+        )
+        assert len(design.movable_indices()) >= cfg.gp.cluster_min_nodes
+        try:
+            # Clock read 1 starts the GP watchdog; read 2 is the deepest
+            # coarse level's first expiry check.
+            with inject("clock.skew@2=1000"):
+                result = NTUplace4H(cfg).run(design, route=False)
+        finally:
+            reset_clock_skew()
+        assert ("gp", "budget_exhausted") in [
+            (e["stage"], e["reason"]) for e in result.degradation
+        ]
+        report = result.gp_report
+        assert len(report.coarse_iterations) == 1
+        assert report.num_iterations == 1
+        assert report.stop_reason == "budget"
+        assert result.legal
 
 
 # ----------------------------------------------------------------------
